@@ -151,28 +151,33 @@ func reverse(s []byte) []byte {
 // LocalBanded computes a local alignment restricted to the diagonal
 // band |(j - i) - diag| ≤ band, the gapped-stage shape: hits from the
 // ungapped stage fix the diagonal and homologous regions stay near it.
-// Cells outside the band are unreachable. Cost is O(len(a)·band).
+// Cells outside the band are unreachable. Cost is O(len(a)·band). It is
+// LocalBandedEnd followed by LocalBandedStart.
 func (al *Aligner) LocalBanded(a, b []byte, diag, band int) Local {
-	best := al.LocalBandedEnd(a, b, diag, band)
-	if best.Score == 0 {
-		return Local{}
-	}
-	// Recover starts with a reverse banded pass on the bounded window:
-	// reversed coordinates map (i, j) to (AEnd-i, BEnd-j), so the band
-	// |(j-i) - diag| ≤ band becomes |(j'-i') - rd| ≤ band with
-	// rd = BEnd - AEnd - diag.
-	ra := reverse(a[:best.AEnd])
-	rb := reverse(b[:best.BEnd])
-	rd := best.BEnd - best.AEnd - diag
-	sub := al.LocalBandedEnd(ra, rb, rd, band)
-	best.AStart = best.AEnd - sub.AEnd
-	best.BStart = best.BEnd - sub.BEnd
-	return best
+	return al.LocalBandedStart(a, b, diag, band, al.LocalBandedEnd(a, b, diag, band))
 }
 
-// LocalBandedEnd is LocalBanded without start recovery (score and
-// endpoint only); exported for tests that validate the banded DP
-// against the full Local.
+// LocalBandedStart completes end, the result of LocalBandedEnd on the
+// same arguments, with the alignment's start coordinates. Callers that
+// filter on the score alone run it only for alignments they keep.
+func (al *Aligner) LocalBandedStart(a, b []byte, diag, band int, end Local) Local {
+	if end.Score == 0 {
+		return Local{}
+	}
+	// A reverse banded pass on the bounded window: reversed coordinates
+	// map (i, j) to (AEnd-i, BEnd-j), so the band |(j-i) - diag| ≤ band
+	// becomes |(j'-i') - rd| ≤ band with rd = BEnd - AEnd - diag.
+	ra := reverse(a[:end.AEnd])
+	rb := reverse(b[:end.BEnd])
+	rd := end.BEnd - end.AEnd - diag
+	sub := al.LocalBandedEnd(ra, rb, rd, band)
+	end.AStart = end.AEnd - sub.AEnd
+	end.BStart = end.BEnd - sub.BEnd
+	return end
+}
+
+// LocalBandedEnd is LocalBanded without start recovery: the score and
+// the endpoint (AEnd, BEnd) only, with AStart and BStart left zero.
 func (al *Aligner) LocalBandedEnd(a, b []byte, diag, band int) Local {
 	if band < 0 {
 		band = 0

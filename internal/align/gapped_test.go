@@ -201,6 +201,40 @@ func TestLocalBandedStartRecoveryProperty(t *testing.T) {
 	}
 }
 
+func TestLocalBandedStartAfterEndProperty(t *testing.T) {
+	// Two aligners so that the split calls and LocalBanded never share
+	// scratch rows: leftovers from one call must not leak into the next.
+	al, ref := NewAligner(matrix.BLOSUM62, DefaultGaps), NewAligner(matrix.BLOSUM62, DefaultGaps)
+	f := func(raw0 [40]byte, raw1 [48]byte, la, lb, diagRaw, bandRaw uint8) bool {
+		a, b := randSeqs(raw0[:1+int(la)%40], raw1[:1+int(lb)%48])
+		// Diagonals from fully left of the matrix to fully right of it,
+		// so the band can start outside, leave early or never enter.
+		diag := int(diagRaw)%(len(a)+len(b)+8) - len(a) - 4
+		band := int(bandRaw) % 12 // band 0 included
+		end := al.LocalBandedEnd(a, b, diag, band)
+		got := al.LocalBandedStart(a, b, diag, band, end)
+		want := ref.LocalBanded(a, b, diag, band)
+		if got != want {
+			t.Logf("a=%v b=%v diag=%d band=%d: end+start %+v, LocalBanded %+v", a, b, diag, band, got, want)
+			return false
+		}
+		if got.Score == 0 {
+			return got == Local{}
+		}
+		// The recovered rectangle holds the whole alignment: realigning
+		// it under the same band (shifted into its coordinates) gives
+		// back exactly the score, and the start cell lies in the band.
+		sub := ref.LocalBandedEnd(a[got.AStart:got.AEnd], b[got.BStart:got.BEnd],
+			diag-(got.BStart-got.AStart), band)
+		startDiag := got.BStart - got.AStart
+		return got.AEnd == end.AEnd && got.BEnd == end.BEnd && got.Score == end.Score &&
+			sub.Score == got.Score && startDiag >= diag-band && startDiag <= diag+band
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestTracebackScoreMatchesLocal(t *testing.T) {
 	al := NewAligner(matrix.BLOSUM62, DefaultGaps)
 	f := func(raw0, raw1 [20]byte) bool {

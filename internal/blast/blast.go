@@ -274,7 +274,8 @@ func (sc *scanner) scanSubject(al *align.Aligner, lut *lookup, query, subject []
 }
 
 // gappedExtend runs the banded gapped extension around the hit diagonal
-// and applies the E-value cutoff.
+// and applies the E-value cutoff. Start coordinates are recovered only
+// for a match that passes the cutoff.
 func gappedExtend(al *align.Aligner, query, subject []byte, qPos, sPos int,
 	cfg *Config, dbLen int) (Match, bool) {
 	slack := cfg.Band + 8
@@ -282,7 +283,7 @@ func gappedExtend(al *align.Aligner, query, subject []byte, qPos, sPos int,
 	winEnd := min(len(subject), sPos+(len(query)-qPos)+slack)
 	window := subject[winStart:winEnd]
 	diag := (sPos - winStart) - qPos
-	loc := al.LocalBanded(query, window, diag, cfg.Band)
+	loc := al.LocalBandedEnd(query, window, diag, cfg.Band)
 	if loc.Score <= 0 {
 		return Match{}, false
 	}
@@ -290,6 +291,7 @@ func gappedExtend(al *align.Aligner, query, subject []byte, qPos, sPos int,
 	if ev > cfg.MaxEValue {
 		return Match{}, false
 	}
+	loc = al.LocalBandedStart(query, window, diag, cfg.Band, loc)
 	return Match{
 		Score:    loc.Score,
 		BitScore: cfg.Params.BitScore(loc.Score),

@@ -147,12 +147,7 @@ func (l *Local) Compare(pctx context.Context, query, subject *bank.Bank, opt cor
 		aligns[vi] = res.Alignments
 		out.Hits += res.Hits
 		out.Pairs += res.Pairs
-		out.GappedWork.Hits += res.GappedWork.Hits
-		out.GappedWork.Contained += res.GappedWork.Contained
-		out.GappedWork.PreFiltered += res.GappedWork.PreFiltered
-		out.GappedWork.Extended += res.GappedWork.Extended
-		out.GappedWork.DPRows += res.GappedWork.DPRows
-		out.GappedWork.DPCells += res.GappedWork.DPCells
+		out.GappedWork.Add(res.GappedWork)
 		out.PerVolume[vi] = res.Pipeline
 		out.Metrics.Merge(&res.Pipeline)
 	}

@@ -7,9 +7,10 @@
 package gapped
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"seedblast/internal/align"
@@ -82,18 +83,34 @@ func DefaultConfig() Config {
 // Stats describes the work the gapped stage performed; the simulated
 // gap-extension operator (the paper's future-work second FPGA design)
 // derives its cycle count from these.
+//
+// Every hit lands in exactly one of Contained, PreFiltered and
+// Extended, so Hits == Contained + PreFiltered + Extended.
 type Stats struct {
-	Hits        int   // hits received from step 2
-	Contained   int   // skipped: seed inside an already-extended region
+	Hits int // hits received from step 2
+	// Contained counts hits skipped without a DP: the seed lies inside
+	// an already-reported alignment, or on a diagonal the pair has
+	// already extended (whose DP would return the same result again).
+	Contained   int
 	PreFiltered int   // dropped by the gap-trigger pre-filter
 	Extended    int   // banded DPs actually run
 	DPRows      int64 // Σ query lengths over extended DPs
 	DPCells     int64 // Σ query length × band width over extended DPs
 }
 
+// Add folds o's counts into st.
+func (st *Stats) Add(o Stats) {
+	st.Hits += o.Hits
+	st.Contained += o.Contained
+	st.PreFiltered += o.PreFiltered
+	st.Extended += o.Extended
+	st.DPRows += o.DPRows
+	st.DPCells += o.DPCells
+}
+
 // Run extends hits into alignments. b0 and b1 are the banks the hits'
-// entries refer to. Results are sorted by (Seq0, EValue, Seq1) and
-// de-duplicated per sequence pair.
+// entries refer to. Results are de-duplicated per sequence pair and
+// sorted by (Seq0, EValue, Seq1), ties broken by (Q, S) ranges.
 func Run(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignment, error) {
 	as, _, err := RunWithStats(b0, b1, hits, cfg)
 	return as, err
@@ -149,10 +166,10 @@ func RunWithStats(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignme
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			al := align.NewAligner(cfg.Matrix, cfg.Gaps)
+			w := &worker{al: align.NewAligner(cfg.Matrix, cfg.Gaps)}
 			for gi := range next {
 				k := order[gi]
-				results[gi].as, results[gi].st = extendGroup(al,
+				results[gi].as, results[gi].st = w.extendGroup(
 					b0.Seq(int(k.s0)), b1.Seq(int(k.s1)),
 					int(k.s0), int(k.s1), groups[k], &cfg, space)
 			}
@@ -165,38 +182,58 @@ func RunWithStats(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) ([]Alignme
 	wg.Wait()
 
 	var out []Alignment
-	stats := Stats{Hits: len(hits)}
+	var stats Stats
 	for _, r := range results {
 		out = append(out, r.as...)
-		stats.Contained += r.st.Contained
-		stats.PreFiltered += r.st.PreFiltered
-		stats.Extended += r.st.Extended
-		stats.DPRows += r.st.DPRows
-		stats.DPCells += r.st.DPCells
+		stats.Add(r.st)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Seq0 != out[j].Seq0 {
-			return out[i].Seq0 < out[j].Seq0
-		}
-		if out[i].EValue != out[j].EValue {
-			return out[i].EValue < out[j].EValue
-		}
-		return out[i].Seq1 < out[j].Seq1
-	})
+	sortAlignments(out)
 	return out, stats, nil
+}
+
+// sortAlignments puts alignments in Run's output order.
+func sortAlignments(as []Alignment) {
+	slices.SortFunc(as, func(a, b Alignment) int {
+		return cmp.Or(cmp.Compare(a.Seq0, b.Seq0), cmp.Compare(a.EValue, b.EValue),
+			cmp.Compare(a.Seq1, b.Seq1), compareRanges(&a, &b))
+	})
+}
+
+// compareRanges orders alignments by (Q.Start, Q.End, S.Start, S.End),
+// the tie-break that makes the output order independent of the order
+// the sorts receive equal-score alignments in.
+func compareRanges(a, b *Alignment) int {
+	return cmp.Or(cmp.Compare(a.Q.Start, b.Q.Start), cmp.Compare(a.Q.End, b.Q.End),
+		cmp.Compare(a.S.Start, b.S.Start), cmp.Compare(a.S.End, b.S.End))
+}
+
+// worker is one step-3 goroutine's reusable state.
+type worker struct {
+	al    *align.Aligner
+	diags []int // diagonals (sPos − qPos) already extended in the current pair
 }
 
 // extendGroup processes all hits of one (seq0, seq1) pair: hits whose
 // seed lands inside an alignment already found on a nearby diagonal are
-// skipped (BLAST's containment rule), others are extended with a banded
-// local alignment around their diagonal.
-func extendGroup(al *align.Aligner, q, s []byte, seq0, seq1 int,
+// skipped (BLAST's containment rule), as are hits on a diagonal the pair
+// has already extended; the others are extended with a banded local
+// alignment around their diagonal.
+func (w *worker) extendGroup(q, s []byte, seq0, seq1 int,
 	hits []ungapped.Hit, cfg *Config, space stats.SearchSpace) ([]Alignment, Stats) {
 	var found []Alignment
-	var st Stats
+	st := Stats{Hits: len(hits)}
+	w.diags = w.diags[:0]
 	for _, h := range hits {
 		qPos, sPos := int(h.E0.Off), int(h.E1.Off)
 		if contained(found, qPos, sPos, cfg.Band) {
+			st.Contained++
+			continue
+		}
+		// extendOne's result depends on the diagonal alone, so a second
+		// DP on it would return the earlier result: already in found,
+		// or rejected.
+		d := sPos - qPos
+		if slices.Contains(w.diags, d) {
 			st.Contained++
 			continue
 		}
@@ -211,50 +248,54 @@ func extendGroup(al *align.Aligner, q, s []byte, seq0, seq1 int,
 				continue
 			}
 		}
+		w.diags = append(w.diags, d)
 		st.Extended++
 		st.DPRows += int64(len(q))
 		st.DPCells += int64(len(q)) * int64(2*cfg.Band+1)
-		loc, ops := extendOne(al, q, s, qPos, sPos, cfg)
-		if loc.Score <= 0 {
-			continue
+		if a, ok := extendOne(w.al, q, s, d, cfg, space); ok {
+			a.Seq0, a.Seq1 = seq0, seq1
+			found = append(found, a)
 		}
-		ev := cfg.Params.EValueIn(loc.Score, len(q), space)
-		if ev > cfg.MaxEValue {
-			continue
-		}
-		found = append(found, Alignment{
-			Seq0:     seq0,
-			Seq1:     seq1,
-			Score:    loc.Score,
-			BitScore: cfg.Params.BitScore(loc.Score),
-			EValue:   ev,
-			Q:        Span{loc.AStart, loc.AEnd},
-			S:        Span{loc.BStart, loc.BEnd},
-			Ops:      ops,
-		})
 	}
 	return dedup(found), st
 }
 
-// extendOne aligns the full query against a subject window around the
-// hit's diagonal and maps coordinates back to the subject.
-func extendOne(al *align.Aligner, q, s []byte, qPos, sPos int, cfg *Config) (align.Local, []align.Op) {
+// extendOne aligns the full query against a subject window around
+// diagonal d (sPos − qPos) and reports the alignment, in subject
+// coordinates, when it passes the E-value cut. The banded DP scores
+// first; start recovery runs only for alignments that are kept.
+func extendOne(al *align.Aligner, q, s []byte, d int, cfg *Config, space stats.SearchSpace) (Alignment, bool) {
 	slack := cfg.Band + 8
-	winStart := max(0, sPos-qPos-slack)
-	winEnd := min(len(s), sPos+(len(q)-qPos)+slack)
+	winStart := max(0, d-slack)
+	winEnd := min(len(s), d+len(q)+slack)
 	window := s[winStart:winEnd]
-	diag := (sPos - winStart) - qPos
+	diag := d - winStart
 
 	var loc align.Local
 	var ops []align.Op
 	if cfg.Traceback {
 		loc, ops = al.Traceback(q, window)
 	} else {
-		loc = al.LocalBanded(q, window, diag, cfg.Band)
+		loc = al.LocalBandedEnd(q, window, diag, cfg.Band)
 	}
-	loc.BStart += winStart
-	loc.BEnd += winStart
-	return loc, ops
+	if loc.Score <= 0 {
+		return Alignment{}, false
+	}
+	ev := cfg.Params.EValueIn(loc.Score, len(q), space)
+	if ev > cfg.MaxEValue {
+		return Alignment{}, false
+	}
+	if !cfg.Traceback {
+		loc = al.LocalBandedStart(q, window, diag, cfg.Band, loc)
+	}
+	return Alignment{
+		Score:    loc.Score,
+		BitScore: cfg.Params.BitScore(loc.Score),
+		EValue:   ev,
+		Q:        Span{loc.AStart, loc.AEnd},
+		S:        Span{loc.BStart + winStart, loc.BEnd + winStart},
+		Ops:      ops,
+	}, true
 }
 
 // contained reports whether the seed (qPos, sPos) lies inside an
@@ -274,12 +315,17 @@ func contained(found []Alignment, qPos, sPos, band int) bool {
 }
 
 // dedup removes alignments whose query and subject ranges are both
-// contained in a higher-scoring alignment of the same pair.
+// contained in a higher-scoring alignment of the same pair, or in an
+// equal-scoring one that sorts first by ranges. The stable sort keeps
+// the first of identical alignments, so dropping a repeat of an earlier
+// alignment cannot change the result.
 func dedup(as []Alignment) []Alignment {
 	if len(as) <= 1 {
 		return as
 	}
-	sort.Slice(as, func(i, j int) bool { return as[i].Score > as[j].Score })
+	slices.SortStableFunc(as, func(a, b Alignment) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), compareRanges(&a, &b))
+	})
 	var out []Alignment
 	for _, a := range as {
 		keep := true

@@ -1,13 +1,17 @@
 package gapped
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
+	"seedblast/internal/align"
 	"seedblast/internal/alphabet"
 	"seedblast/internal/bank"
 	"seedblast/internal/index"
 	"seedblast/internal/matrix"
 	"seedblast/internal/seed"
+	"seedblast/internal/stats"
 	"seedblast/internal/ungapped"
 )
 
@@ -298,10 +302,250 @@ func TestStatsAccounting(t *testing.T) {
 	if st.Hits != len(hits) {
 		t.Errorf("Hits = %d, want %d", st.Hits, len(hits))
 	}
-	if st.Extended+st.PreFiltered+st.Contained > st.Hits {
-		t.Errorf("categories exceed hits: %+v", st)
+	if st.Contained+st.PreFiltered+st.Extended != st.Hits {
+		t.Errorf("funnel does not partition the hits: %+v", st)
 	}
 	if st.Extended > 0 && st.DPCells <= st.DPRows {
 		t.Errorf("DP volume inconsistent: %+v", st)
 	}
+}
+
+// refExtendGroup is extendGroup as it was before the per-pair diagonal
+// memo and score-first start recovery: every hit that is neither
+// contained nor pre-filtered pays for the full DP, start recovery
+// included, even on a diagonal the pair has already extended. It
+// returns each hit's fate ('c' contained, 'p' pre-filtered, 'e'
+// extended) and diagonal for funnel.
+func refExtendGroup(al *align.Aligner, q, s []byte, seq0, seq1 int,
+	hits []ungapped.Hit, cfg *Config, space stats.SearchSpace) ([]Alignment, []hitFate) {
+	var found []Alignment
+	fates := make([]hitFate, len(hits))
+	for i, h := range hits {
+		qPos, sPos := int(h.E0.Off), int(h.E1.Off)
+		fates[i] = hitFate{kind: 'c', diag: sPos - qPos}
+		if contained(found, qPos, sPos, cfg.Band) {
+			continue
+		}
+		fates[i].kind = 'p'
+		if cfg.GapTrigger > 0 {
+			ext := align.ExtendUngapped(q, s, qPos, sPos, 1, cfg.XDrop, cfg.Matrix)
+			if ext.Score < cfg.GapTrigger {
+				continue
+			}
+		}
+		fates[i].kind = 'e'
+		slack := cfg.Band + 8
+		winStart := max(0, sPos-qPos-slack)
+		winEnd := min(len(s), sPos+(len(q)-qPos)+slack)
+		window := s[winStart:winEnd]
+		diag := (sPos - winStart) - qPos
+		var loc align.Local
+		var ops []align.Op
+		if cfg.Traceback {
+			loc, ops = al.Traceback(q, window)
+		} else {
+			loc = al.LocalBanded(q, window, diag, cfg.Band)
+		}
+		if loc.Score <= 0 {
+			continue
+		}
+		ev := cfg.Params.EValueIn(loc.Score, len(q), space)
+		if ev > cfg.MaxEValue {
+			continue
+		}
+		found = append(found, Alignment{
+			Seq0:     seq0,
+			Seq1:     seq1,
+			Score:    loc.Score,
+			BitScore: cfg.Params.BitScore(loc.Score),
+			EValue:   ev,
+			Q:        Span{loc.AStart, loc.AEnd},
+			S:        Span{loc.BStart + winStart, loc.BEnd + winStart},
+			Ops:      ops,
+		})
+	}
+	return dedup(found), fates
+}
+
+type hitFate struct {
+	kind byte
+	diag int
+}
+
+// funnel counts one pair's hit fates into Stats. With memo, a hit that
+// the reference extended or pre-filtered on a diagonal it had already
+// extended counts as Contained instead, as the diagonal memo skips it.
+func funnel(fates []hitFate, qLen int, cfg *Config, memo bool) Stats {
+	st := Stats{Hits: len(fates)}
+	extended := make(map[int]bool)
+	for _, f := range fates {
+		switch {
+		case f.kind == 'c' || memo && extended[f.diag]:
+			st.Contained++
+		case f.kind == 'p':
+			st.PreFiltered++
+		default:
+			extended[f.diag] = true
+			st.Extended++
+			st.DPRows += int64(qLen)
+			st.DPCells += int64(qLen) * int64(2*cfg.Band+1)
+		}
+	}
+	return st
+}
+
+// refRun is RunWithStats over refExtendGroup, serially. It returns the
+// reference's own funnel and the funnel the memo must report.
+func refRun(b0, b1 *bank.Bank, hits []ungapped.Hit, cfg Config) (as []Alignment, plain, memo Stats) {
+	type pairKey struct{ s0, s1 uint32 }
+	groups := make(map[pairKey][]ungapped.Hit)
+	var order []pairKey
+	for _, h := range hits {
+		k := pairKey{h.E0.Seq, h.E1.Seq}
+		if _, seen := groups[k]; !seen {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], h)
+	}
+	space := stats.SearchSpace{DBLen: b1.TotalResidues(), DBSeqs: b1.Len()}
+	al := align.NewAligner(cfg.Matrix, cfg.Gaps)
+	for _, k := range order {
+		q := b0.Seq(int(k.s0))
+		pas, fates := refExtendGroup(al, q, b1.Seq(int(k.s1)),
+			int(k.s0), int(k.s1), groups[k], &cfg, space)
+		as = append(as, pas...)
+		plain.Add(funnel(fates, len(q), &cfg, false))
+		memo.Add(funnel(fates, len(q), &cfg, true))
+	}
+	sortAlignments(as)
+	return as, plain, memo
+}
+
+// memoWorkload is a hit set with planted homologs (one of them a
+// tandem duplicate, so one pair aligns on two diagonals), two planted
+// segments too short to pass the E-value cut (their DPs are rejected) and
+// many repeated diagonals: step 2's hits plus, for a third of them, a
+// copy slid along the diagonal and an exact repeat, in shuffled order.
+func memoWorkload(t *testing.T) (*bank.Bank, *bank.Bank, []ungapped.Hit) {
+	rng := bank.NewRNG(11)
+	b0 := bank.New("q")
+	b1 := bank.New("s")
+	for i := 0; i < 8; i++ {
+		anc := bank.RandomProtein(rng, 120+30*i)
+		b0.Add(fmt.Sprintf("q%d", i), anc)
+		switch i {
+		case 0, 1:
+			b1.Add(fmt.Sprintf("h%d", i), bank.InsertIndels(rng, bank.MutateProtein(rng, anc, 0.3), 0.02))
+		case 2:
+			dup := append(bank.MutateProtein(rng, anc, 0.2), bank.RandomProtein(rng, 40)...)
+			b1.Add("tandem", append(dup, bank.MutateProtein(rng, anc, 0.25)...))
+		case 3, 4:
+			short := append(bank.RandomProtein(rng, 80), anc[20:29]...)
+			b1.Add(fmt.Sprintf("short%d", i), append(short, bank.RandomProtein(rng, 80)...))
+		default:
+			b1.Add(fmt.Sprintf("r%d", i), bank.RandomProtein(rng, 200))
+		}
+	}
+	hits := runPipelineUpTo2(t, b0, b1, 18)
+	n := len(hits)
+	for i := 0; i < n; i += 3 {
+		h := hits[i]
+		hits = append(hits, h)
+		k := uint32(1 + rng.Intn(5))
+		if int(h.E0.Off+k) < len(b0.Seq(int(h.E0.Seq))) && int(h.E1.Off+k) < len(b1.Seq(int(h.E1.Seq))) {
+			h.E0.Off += k
+			h.E1.Off += k
+			hits = append(hits, h)
+		}
+	}
+	rng.Shuffle(len(hits), func(i, j int) { hits[i], hits[j] = hits[j], hits[i] })
+	return b0, b1, hits
+}
+
+func TestRunMatchesPreMemoReference(t *testing.T) {
+	b0, b1, hits := memoWorkload(t)
+	for _, traceback := range []bool{false, true} {
+		for _, trigger := range []int{DefaultConfig().GapTrigger, 0} {
+			cfg := DefaultConfig()
+			cfg.Traceback = traceback
+			cfg.GapTrigger = trigger
+			want, refSt, wantSt := refRun(b0, b1, hits, cfg)
+			if len(want) == 0 {
+				t.Fatalf("traceback=%v trigger=%d: the reference found no alignments", traceback, trigger)
+			}
+			if wantSt.Extended >= refSt.Extended || wantSt.Contained+wantSt.PreFiltered+wantSt.Extended != len(hits) {
+				t.Fatalf("traceback=%v trigger=%d: no repeated diagonal to skip, or a broken funnel: reference %+v, memo %+v",
+					traceback, trigger, refSt, wantSt)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				cfg.Workers = workers
+				got, st, err := RunWithStats(b0, b1, hits, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := fmt.Sprintf("traceback=%v trigger=%d workers=%d", traceback, trigger, workers)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: alignments differ from the reference\ngot  %+v\nwant %+v", name, got, want)
+				}
+				if st != wantSt {
+					t.Errorf("%s: funnel %+v, want %+v (the reference ran %d DPs)", name, st, wantSt, refSt.Extended)
+				}
+			}
+		}
+	}
+}
+
+func TestDedupIgnoresInputOrderOfTies(t *testing.T) {
+	// Equal scores: the lower-starting alignment contains the other, so
+	// it must survive alone whichever order the two arrive in.
+	big := Alignment{Score: 50, Q: Span{0, 60}, S: Span{0, 60}}
+	small := Alignment{Score: 50, Q: Span{10, 40}, S: Span{10, 40}}
+	for _, in := range [][]Alignment{{big, small}, {small, big}} {
+		out := dedup(in)
+		if len(out) != 1 || out[0].Q != big.Q {
+			t.Errorf("dedup(%v) = %v, want only %v", in, out, big.Q)
+		}
+	}
+}
+
+// BenchmarkGappedRun measures step 3 on a chance-hit-dominated hit set,
+// the tblastn shape: 40 queries against long random subjects and two
+// planted homologs, with step 2's threshold lowered to 30 so that most
+// hits are chance ones that die at the gap trigger or the E-value cut.
+// It reports ns per step-2 hit.
+func BenchmarkGappedRun(b *testing.B) {
+	rng := bank.NewRNG(5)
+	b0 := bank.New("q")
+	b1 := bank.New("s")
+	for i := 0; i < 40; i++ {
+		q := bank.RandomProtein(rng, 340)
+		b0.Add(fmt.Sprintf("q%d", i), q)
+		if i%20 == 0 {
+			b1.Add(fmt.Sprintf("h%d", i), bank.MutateProtein(rng, q, 0.3))
+		}
+	}
+	for i := 0; i < 20; i++ {
+		b1.Add(fmt.Sprintf("r%d", i), bank.RandomProtein(rng, 3000))
+	}
+	model := seed.Default()
+	ix0, err := index.Build(b0, model, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix1, err := index.Build(b1, model, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := ungapped.Run(ix0, ix1, ungapped.Config{Matrix: matrix.BLOSUM62, Threshold: 30, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	for b.Loop() {
+		if _, _, err := RunWithStats(b0, b1, res.Hits, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(len(res.Hits)*b.N), "ns/hit")
 }

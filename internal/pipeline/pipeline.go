@@ -614,7 +614,7 @@ func (e *Engine) run(pctx context.Context, req *Request, emit func([]gapped.Alig
 		out.Alignments = append(out.Alignments, so.aligns...)
 		out.Hits += so.nHits
 		out.Pairs += so.pairs
-		addGappedStats(&out.GappedWork, &so.gstats)
+		out.GappedWork.Add(so.gstats)
 		out.Step2Time += so.step2
 		out.Step3Time += so.step3
 		if req.KeepHits {
@@ -720,15 +720,6 @@ func newStatsMerger(space int) *statsMerger {
 func (m *statsMerger) add(ix *index.Index) { ix.AddBucketCounts(m.counts) }
 
 func (m *statsMerger) stats() index.Stats { return index.StatsFromBucketCounts(m.counts) }
-
-func addGappedStats(dst, src *gapped.Stats) {
-	dst.Hits += src.Hits
-	dst.Contained += src.Contained
-	dst.PreFiltered += src.PreFiltered
-	dst.Extended += src.Extended
-	dst.DPRows += src.DPRows
-	dst.DPCells += src.DPCells
-}
 
 // deviceAggregator folds per-shard accelerator reports into one.
 type deviceAggregator struct {
