@@ -77,18 +77,20 @@ func main() {
 		log.Fatal(err)
 	}
 
-	workers := *streamW
-	if workers <= 0 {
-		workers = 1
-		if *engine == "multi" {
-			workers = 2 // one in-flight shard per backend, so cpu and rasc run concurrently
-		}
-	}
 	kernel, err := seedblast.ParseKernel(*kernelName)
 	if err != nil {
 		log.Fatal(err)
 	}
+	eng, err := seedblast.ParseEngine(*engine)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if eng == seedblast.EngineMulti && *offloadGap {
+		log.Fatal("-offload-gapped requires -engine rasc (step 3 stays on the host under multi dispatch)")
+	}
 	opts := []seedblast.Option{
+		seedblast.WithEngine(eng),
+		seedblast.WithRASC(seedblast.RASCOptions{NumPEs: *pes, NumFPGAs: *fpgas, OffloadGapped: *offloadGap}),
 		seedblast.WithStep2Kernel(kernel),
 		seedblast.WithUngappedThreshold(*threshold),
 		seedblast.WithMaxCandidates(*maxCand),
@@ -97,23 +99,9 @@ func main() {
 		seedblast.WithPipeline(seedblast.PipelineConfig{
 			ShardSize:    *shardSize,
 			InFlight:     *inflight,
-			Step2Workers: workers,
-			Step3Workers: workers,
+			Step2Workers: *streamW,
+			Step3Workers: *streamW,
 		}),
-	}
-	rasc := seedblast.RASCOptions{NumPEs: *pes, NumFPGAs: *fpgas, OffloadGapped: *offloadGap}
-	switch *engine {
-	case "cpu":
-		opts = append(opts, seedblast.WithEngine(seedblast.EngineCPU))
-	case "rasc":
-		opts = append(opts, seedblast.WithEngine(seedblast.EngineRASC), seedblast.WithRASC(rasc))
-	case "multi":
-		if *offloadGap {
-			log.Fatal("-offload-gapped requires -engine rasc (step 3 stays on the host under multi dispatch)")
-		}
-		opts = append(opts, seedblast.WithEngine(seedblast.EngineMulti), seedblast.WithRASC(rasc))
-	default:
-		log.Fatalf("unknown engine %q (cpu, rasc, multi)", *engine)
 	}
 
 	searcher, err := seedblast.NewSearcher(opts...)

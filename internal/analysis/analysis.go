@@ -250,18 +250,6 @@ type Unit struct {
 	passes map[string]*Pass // import path → pass
 }
 
-// Pkg returns the first loaded package whose import path matches the
-// suffix (see pathMatches), or nil — how Finalize checks whether a
-// layer is in view before enforcing a contract against it.
-func (u *Unit) Pkg(suffix string) *Package {
-	for _, pkg := range u.Packages {
-		if pathMatches(pkg.Path, suffix) {
-			return pkg
-		}
-	}
-	return nil
-}
-
 // FactsOf returns the collected facts of one kind.
 func (u *Unit) FactsOf(kind string) []Fact {
 	var out []Fact

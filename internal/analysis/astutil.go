@@ -72,19 +72,6 @@ func rootIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
-// mentionsIdent reports whether the expression tree contains an
-// identifier with this name.
-func mentionsIdent(e ast.Expr, name string) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == name {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
 // enclosingFuncs pairs every function body in f — declarations and
 // literals — with its body, innermost discoverable by position.
 type funcScope struct {

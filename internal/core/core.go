@@ -62,6 +62,20 @@ func (e Engine) String() string {
 	}
 }
 
+// ParseEngine resolves an engine name, the inverse of Engine.String;
+// the empty string means cpu.
+func ParseEngine(s string) (Engine, error) {
+	switch s {
+	case "", "cpu":
+		return EngineCPU, nil
+	case "rasc":
+		return EngineRASC, nil
+	case "multi":
+		return EngineMulti, nil
+	}
+	return EngineCPU, fmt.Errorf("core: unknown engine %q (want cpu, rasc or multi)", s)
+}
+
 // RASCOptions configures the simulated accelerator when Engine is
 // EngineRASC. Zero values take the paper's defaults.
 type RASCOptions struct {

@@ -263,12 +263,26 @@ func TestCompareValidation(t *testing.T) {
 	}
 }
 
+// Engine.String names every engine and ParseEngine inverts it, taking ""
+// as cpu and rejecting an unknown name.
 func TestEngineString(t *testing.T) {
 	if EngineCPU.String() != "cpu" || EngineRASC.String() != "rasc" {
 		t.Error("engine names wrong")
 	}
 	if Engine(9).String() == "" {
 		t.Error("unknown engine should still format")
+	}
+	for _, e := range []Engine{EngineCPU, EngineRASC, EngineMulti} {
+		got, err := ParseEngine(e.String())
+		if err != nil || got != e {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v", e.String(), got, err, e)
+		}
+	}
+	if got, err := ParseEngine(""); err != nil || got != EngineCPU {
+		t.Errorf(`ParseEngine("") = %v, %v; want cpu`, got, err)
+	}
+	if _, err := ParseEngine("gpu"); err == nil {
+		t.Error(`ParseEngine("gpu") accepted`)
 	}
 }
 

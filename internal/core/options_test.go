@@ -221,10 +221,9 @@ func TestCompareWithPrebuiltSubjectIndex(t *testing.T) {
 	}
 }
 
-// Regression for the optplumb calibration finding: the geneticCode
-// wire option reached Options.GeneticCode through buildOptions, but no
-// With* setter managed the field — the v2 functional-option API could
-// not express it at all.
+// WithGeneticCode sets the translation table, and nil restores the
+// standard code: the geneticCode wire option and the facade both reach
+// Options.GeneticCode only through this setter.
 func TestWithGeneticCodeSetsTranslationTable(t *testing.T) {
 	opt := DefaultOptions()
 	if err := WithGeneticCode(translate.VertebrateMitoCode)(&opt); err != nil {

@@ -179,14 +179,26 @@ type Searcher struct {
 	eng  *pipeline.Engine
 }
 
-// NewSearcher builds a Searcher from DefaultOptions with the given
-// options applied in order.
-func NewSearcher(opts ...Option) (*Searcher, error) {
+// ApplyOptions applies opts in order over DefaultOptions and returns
+// the result, failing on the first option that rejects its value. It
+// is the one place options are resolved: NewSearcher builds on it, and
+// the service decodes wire options into the same setters through it.
+func ApplyOptions(opts ...Option) (Options, error) {
 	o := DefaultOptions()
 	for _, apply := range opts {
 		if err := apply(&o); err != nil {
-			return nil, err
+			return Options{}, err
 		}
+	}
+	return o, nil
+}
+
+// NewSearcher builds a Searcher from DefaultOptions with the given
+// options applied in order.
+func NewSearcher(opts ...Option) (*Searcher, error) {
+	o, err := ApplyOptions(opts...)
+	if err != nil {
+		return nil, err
 	}
 	return SearcherFromOptions(o)
 }

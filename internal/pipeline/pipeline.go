@@ -55,24 +55,36 @@ type Config struct {
 	InFlight int
 	// Step2Workers is the number of shards extended concurrently in
 	// step 2 (each call may use further internal parallelism, e.g. the
-	// CPU backend's workers). Zero or negative means 1.
+	// CPU backend's workers). Zero or negative means the backend's
+	// fan-out (see fanout).
 	Step2Workers int
 	// Step3Workers is the number of shards gapped-extended concurrently
-	// in step 3. Zero or negative means 1.
+	// in step 3. Zero or negative means the backend's fan-out.
 	Step3Workers int
 }
 
-func (c Config) withDefaults() Config {
+// withDefaults resolves the unset fields for a run on backend.
+func (c Config) withDefaults(backend Backend) Config {
 	if c.InFlight <= 0 {
 		c.InFlight = 1
 	}
 	if c.Step2Workers <= 0 {
-		c.Step2Workers = 1
+		c.Step2Workers = fanout(backend)
 	}
 	if c.Step3Workers <= 0 {
-		c.Step3Workers = 1
+		c.Step3Workers = fanout(backend)
 	}
 	return c
+}
+
+// fanout is how many shards backend can work on at once: one per
+// backend of a MultiBackend, so its CPU and RASC shards overlap, and 1
+// otherwise.
+func fanout(backend Backend) int {
+	if m, ok := backend.(*MultiBackend); ok {
+		return cap(m.free)
+	}
+	return 1
 }
 
 // Shard is one unit of streaming work: a contiguous run of bank-0
@@ -263,7 +275,7 @@ func New(cfg Config, backend Backend) (*Engine, error) {
 	if backend == nil {
 		return nil, fmt.Errorf("pipeline: backend is required")
 	}
-	return &Engine{cfg: cfg.withDefaults(), backend: backend}, nil
+	return &Engine{cfg: cfg.withDefaults(backend), backend: backend}, nil
 }
 
 // Backend returns the engine's step-2 backend.

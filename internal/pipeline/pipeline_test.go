@@ -495,6 +495,37 @@ func TestMultiBackendFansOut(t *testing.T) {
 	}
 }
 
+// Unset stage concurrency resolves to the backend's fan-out: one
+// shard per backend of a MultiBackend, 1 for a single backend; an
+// explicit count is kept.
+func TestConfigWorkersDefaultToFanout(t *testing.T) {
+	one := testBackend()
+	three, err := NewMultiBackend(testBackend(), testBackend(), testBackend())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		backend Backend
+		w2, w3  int
+	}{
+		{"single", Config{}, one, 1, 1},
+		{"single negative", Config{Step2Workers: -1, Step3Workers: -1}, one, 1, 1},
+		{"multi", Config{}, three, 3, 3},
+		{"multi explicit", Config{Step2Workers: 1, Step3Workers: 5}, three, 1, 5},
+	} {
+		eng, err := New(tc.cfg, tc.backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eng.cfg.Step2Workers != tc.w2 || eng.cfg.Step3Workers != tc.w3 {
+			t.Errorf("%s: workers %d/%d, want %d/%d", tc.name,
+				eng.cfg.Step2Workers, eng.cfg.Step3Workers, tc.w2, tc.w3)
+		}
+	}
+}
+
 func TestMetricsPopulated(t *testing.T) {
 	b0, b1 := testBanks(t, 8)
 	req := testRequest(t, b0, b1)

@@ -167,73 +167,57 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
 	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// buildOptions maps the wire options onto core.Options.
+// buildOptions decodes the wire options into their core setters and
+// applies them over core.DefaultOptions, so the setters' validation
+// rejects bad input at submit. Absent fields keep the defaults.
 func buildOptions(oj OptionsJSON) (core.Options, error) {
-	opt := core.DefaultOptions()
-	switch oj.Engine {
-	case "", "cpu":
-		opt.Engine = core.EngineCPU
-	case "rasc":
-		opt.Engine = core.EngineRASC
-	case "multi":
-		opt.Engine = core.EngineMulti
-	default:
-		return opt, fmt.Errorf("unknown engine %q (cpu, rasc, multi)", oj.Engine)
+	engine, err := core.ParseEngine(oj.Engine)
+	if err != nil {
+		return core.Options{}, err
 	}
-	if oj.N != nil {
-		if *oj.N < 0 {
-			return opt, fmt.Errorf("negative n %d", *oj.N)
-		}
-		opt.N = *oj.N
-	}
-	if oj.Threshold != nil {
-		opt.UngappedThreshold = *oj.Threshold
-	}
-	g := gapped.DefaultConfig()
-	if oj.MaxEValue != nil {
-		if *oj.MaxEValue <= 0 {
-			return opt, fmt.Errorf("maxEValue must be positive, got %g", *oj.MaxEValue)
-		}
-		g.MaxEValue = *oj.MaxEValue
-	}
-	g.Traceback = oj.Traceback
-	opt.Gapped = g
-	opt.Workers = oj.Workers
 	kernel, err := ungapped.ParseKernel(oj.Kernel)
 	if err != nil {
-		return opt, err
+		return core.Options{}, err
 	}
-	opt.Step2Kernel = kernel
-	opt.Pipeline = pipeline.Config{
-		ShardSize:    oj.ShardSize,
-		InFlight:     oj.InFlight,
-		Step2Workers: oj.StreamWorkers,
-		Step3Workers: oj.StreamWorkers,
+	opts := []core.Option{
+		core.WithEngine(engine),
+		core.WithStep2Kernel(kernel),
+		core.WithWorkers(oj.Workers),
+		core.WithTraceback(oj.Traceback),
+		core.WithPipeline(pipeline.Config{
+			ShardSize:    oj.ShardSize,
+			InFlight:     oj.InFlight,
+			Step2Workers: oj.StreamWorkers,
+			Step3Workers: oj.StreamWorkers,
+		}),
+	}
+	if oj.N != nil {
+		opts = append(opts, core.WithNeighborhood(*oj.N))
+	}
+	if oj.Threshold != nil {
+		opts = append(opts, core.WithUngappedThreshold(*oj.Threshold))
+	}
+	if oj.MaxEValue != nil {
+		opts = append(opts, core.WithMaxEValue(*oj.MaxEValue))
 	}
 	if oj.MaxCandidates != nil {
-		if *oj.MaxCandidates < 0 {
-			return opt, fmt.Errorf("negative maxCandidates %d", *oj.MaxCandidates)
-		}
-		opt.MaxCandidates = *oj.MaxCandidates
+		opts = append(opts, core.WithMaxCandidates(*oj.MaxCandidates))
 	}
 	if oj.GeneticCode != "" {
 		code, err := translate.CodeByName(oj.GeneticCode)
 		if err != nil {
-			return opt, err
+			return core.Options{}, err
 		}
-		opt.GeneticCode = code
+		opts = append(opts, core.WithGeneticCode(code))
 	}
 	if oj.SearchSpace != nil {
 		sp := stats.SearchSpace{DBLen: oj.SearchSpace.DBLen, DBSeqs: oj.SearchSpace.DBSeqs}
-		if err := sp.Validate(); err != nil {
-			return opt, err
-		}
 		if sp.IsZero() {
-			return opt, fmt.Errorf("searchSpace present but empty (needs dbLen)")
+			return core.Options{}, fmt.Errorf("searchSpace present but empty (needs dbLen)")
 		}
-		opt.SearchSpaceOverride = sp
+		opts = append(opts, core.WithSearchSpace(sp))
 	}
-	return opt, nil
+	return core.ApplyOptions(opts...)
 }
 
 func decodeBank(name string, seqs []SequenceJSON) (*bank.Bank, error) {

@@ -203,6 +203,7 @@ func TestHTTPValidationAndMetrics(t *testing.T) {
 	ts := httptest.NewServer(NewHandler(svc))
 	defer ts.Close()
 
+	negN, zeroEValue := -1, 0.0
 	for name, body := range map[string]JobRequestJSON{
 		"no query":           {Subject: []SequenceJSON{{ID: "s", Seq: "MKV"}}},
 		"subject and genome": {Query: []SequenceJSON{{ID: "q", Seq: "MKV"}}, Subject: []SequenceJSON{{ID: "s", Seq: "MKV"}}, Genome: "ACGT"},
@@ -215,6 +216,10 @@ func TestHTTPValidationAndMetrics(t *testing.T) {
 			Options: OptionsJSON{SearchSpace: &SearchSpaceJSON{DBLen: -5}}},
 		"empty search space": {Query: []SequenceJSON{{ID: "q", Seq: "MKV"}}, Subject: []SequenceJSON{{ID: "s", Seq: "MKV"}},
 			Options: OptionsJSON{SearchSpace: &SearchSpaceJSON{}}},
+		"negative n": {Query: []SequenceJSON{{ID: "q", Seq: "MKV"}}, Subject: []SequenceJSON{{ID: "s", Seq: "MKV"}},
+			Options: OptionsJSON{N: &negN}},
+		"zero maxEValue": {Query: []SequenceJSON{{ID: "q", Seq: "MKV"}}, Subject: []SequenceJSON{{ID: "s", Seq: "MKV"}},
+			Options: OptionsJSON{MaxEValue: &zeroEValue}},
 	} {
 		resp := postJSON(t, ts.URL+"/v1/jobs", body)
 		resp.Body.Close()

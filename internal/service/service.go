@@ -577,19 +577,23 @@ func validate(req *Request) error {
 	return nil
 }
 
-// resolveOptions fills unset core options from the defaults so HTTP
-// callers can send sparse option sets. An entirely zero Gapped config
-// takes the full step-3 defaults (matching the HTTP layer and the
-// historical core.Compare behaviour, gap-trigger pre-filter included);
-// a partially-set one is completed field-by-field downstream by
-// core's gappedConfig.
+// resolveOptions fills unset core options from the defaults for
+// callers that build a sparse core.Options by hand (Seed == nil).
+// Options that started from DefaultOptions — every HTTP request does,
+// through buildOptions — pass through untouched, so an explicit zero
+// (a wire "threshold": 0) reaches the engine rather than being
+// mistaken for unset. An entirely zero Gapped config takes the full
+// step-3 defaults (the historical core.Compare behaviour, gap-trigger
+// pre-filter included); a partially-set one is completed
+// field-by-field downstream by core's gappedConfig.
 func resolveOptions(opt core.Options) core.Options {
+	if opt.Seed != nil {
+		return opt
+	}
 	def := core.DefaultOptions()
-	if opt.Seed == nil {
-		opt.Seed = def.Seed
-		if opt.N == 0 {
-			opt.N = def.N
-		}
+	opt.Seed = def.Seed
+	if opt.N == 0 {
+		opt.N = def.N
 	}
 	if opt.Matrix == nil {
 		opt.Matrix = def.Matrix

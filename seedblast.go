@@ -92,6 +92,10 @@ const (
 // spelling) into a Kernel.
 func ParseKernel(s string) (Kernel, error) { return ungapped.ParseKernel(s) }
 
+// ParseEngine parses "cpu", "rasc" or "multi" (the CLI/service engine
+// selector names, Engine.String's inverse); "" means cpu.
+func ParseEngine(s string) (Engine, error) { return core.ParseEngine(s) }
+
 // DefaultOptions returns the paper's defaults: W=4 subset seed, N=14,
 // BLOSUM62, ungapped threshold 38, gapped stage at E ≤ 10⁻³.
 func DefaultOptions() Options { return core.DefaultOptions() }

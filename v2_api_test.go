@@ -4,7 +4,13 @@ package seedblast_test
 
 import (
 	"context"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"seedblast"
@@ -66,6 +72,8 @@ var (
 	_ ungapped.Kernel                                 = seedblast.KernelBlocked
 	_ seedblast.Kernel                                = ungapped.KernelScalar
 	_ func(string) (seedblast.Kernel, error)          = seedblast.ParseKernel
+	_ func(string) (seedblast.Engine, error)          = seedblast.ParseEngine
+	_ func(int) seedblast.Option                      = seedblast.WithMaxCandidates
 	_ func(seedblast.PipelineConfig) seedblast.Option = seedblast.WithPipeline
 	_ func(seedblast.GappedConfig) seedblast.Option   = seedblast.WithGapped
 	_ func(float64) seedblast.Option                  = seedblast.WithMaxEValue
@@ -134,4 +142,42 @@ func TestV2FacadeSearchSurface(t *testing.T) {
 				i, streamed[i].Alignment, legacy.Matches[i].Alignment)
 		}
 	}
+}
+
+// The facade re-exports exactly core's option setters: the top-level
+// With* functions of the root package and of internal/core are the same
+// set of names, so a setter added on one side without the other fails
+// here (the signature gate above then pins each re-export's type).
+func TestFacadeReexportsEveryCoreSetter(t *testing.T) {
+	coreSetters, facadeSetters := withFuncs(t, "internal/core"), withFuncs(t, ".")
+	if len(coreSetters) == 0 {
+		t.Fatal("no With* setters found in internal/core")
+	}
+	if !reflect.DeepEqual(coreSetters, facadeSetters) {
+		t.Errorf("With* setters differ:\n core:   %v\n facade: %v", coreSetters, facadeSetters)
+	}
+}
+
+// withFuncs lists the top-level With* functions declared in the
+// non-test files of the package in dir, sorted.
+func withFuncs(t *testing.T, dir string) []string {
+	t.Helper()
+	fset := token.NewFileSet()
+	notTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	pkgs, err := parser.ParseDir(fset, dir, notTest, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "With") {
+					names = append(names, fd.Name.Name)
+				}
+			}
+		}
+	}
+	sort.Strings(names)
+	return names
 }
